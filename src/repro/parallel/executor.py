@@ -183,8 +183,6 @@ class SweepExecutor:
             SweepInterrupted: when SIGINT/SIGTERM cancelled the sweep.
         """
         pts = self._validated(points)
-        if self.resilience is not None and self.resilience.serve_url is not None:
-            return self._map_remote(fn, pts).results
         if self.resilience is not None and self.resilience.active:
             return self.run(fn, pts).results
         self.last_fallback = None
@@ -210,28 +208,8 @@ class SweepExecutor:
         """
         pts = self._validated(points)
         options = self.resilience if self.resilience is not None else ResilienceOptions()
-        if options.serve_url is not None:
-            return self._map_remote(fn, pts)
         runner = _ResilientRun(self, fn, pts, options)
         return runner.execute()
-
-    def _map_remote(self, fn: PointFn, pts: List[SweepPoint]) -> SweepOutcome:
-        """Ship the whole sweep to a ``repro-serve`` daemon.
-
-        The client restores the daemon's repr-transported values, asserts
-        the merged hash against the daemon's, and records every point
-        into the locally attached journal/catalog (with the usual
-        bit-identity asserts) — so a remote run leaves the same resumable
-        artifacts behind as a local one.
-        """
-        # Imported lazily: repro.serve depends on this module, and the
-        # client is only needed when a sweep actually goes remote.
-        from ..serve.client import ServeClient
-
-        options = self.resilience
-        assert options is not None and options.serve_url is not None
-        client = ServeClient(options.serve_url)
-        return client.submit(fn, pts, options)
 
     # ------------------------------------------------------------- validation
 
@@ -703,8 +681,7 @@ class _ResilientRun:
                 self._count("resilience.journal_appends")
         if self.catalog is not None:
             # Same determinism assert against the durable store; the probe
-            # count lands only after the entry is fsync'd (the serve
-            # daemon's crash drill relies on that ordering).
+            # count lands only after the entry is fsync'd.
             if self.catalog.record(self.fn_name, self.sweep_id, point, value):
                 self._count("catalog.appends")
         self.values[point.index] = value

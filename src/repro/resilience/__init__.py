@@ -6,9 +6,14 @@ discipline to the *harness* that reproduces those results. It provides:
 
 * :mod:`~repro.resilience.atomic` — crash-safe file replacement
   (write-temp + fsync + rename) used for every load-bearing artifact;
+* :mod:`~repro.resilience.store` — the one fsync'd NDJSON store (header,
+  appends, torn-tail salvage, atomic rewrite, compaction) behind both
+  the run journal and :class:`repro.catalog.RunCatalog`;
 * :mod:`~repro.resilience.journal` — the run journal: an atomic,
   resumable checkpoint store keyed by point content, with a bit-identity
   assertion on every re-executed point;
+* :mod:`~repro.resilience.fingerprint` — the code fingerprint every
+  content key carries, so stored results of edited code are misses;
 * :mod:`~repro.resilience.policy` — per-point timeouts, bounded retries
   with deterministic seeded-jitter backoff, and the
   fail-fast vs salvage :class:`FailurePolicy`;

@@ -2,14 +2,17 @@
 
 Every completed sweep point is recorded — key, label, and the exact
 ``repr`` of its payload — the moment it finishes, as one fsync'd
-newline-terminated JSON line appended to the journal (the header and
-any rewrite go through the atomic path in
-:mod:`repro.resilience.atomic`). A sweep killed mid-run (crash, OOM,
-SIGKILL, Ctrl-C) therefore leaves a journal that is always a *complete
-prefix* of the run plus at most one torn final line — which resume
-detects (unterminated last line) and drops — and ``--resume`` picks up
-exactly where it stopped: restored points are served from the journal,
-missing points are recomputed.
+newline-terminated JSON line appended to the journal through the shared
+:class:`~repro.resilience.store.NdjsonStore` (the header and any
+rewrite go through the atomic path in :mod:`repro.resilience.atomic`).
+A sweep killed mid-run (crash, OOM, SIGKILL, Ctrl-C) therefore leaves a
+journal that is always a *complete prefix* of the run plus at most one
+torn final line — which resume detects (unterminated last line) and
+drops — and ``--resume`` picks up exactly where it stopped: restored
+points are served from the journal, missing points are recomputed. Keys
+carry the code fingerprint (:mod:`repro.resilience.fingerprint`), so a
+resume after a code edit recomputes the points instead of restoring
+values the edited code might not produce.
 
 Why ``repr`` and not pickle: the executor's merged ``result_hash`` is
 defined over ``repr`` (floats round-trip exactly), so storing the repr
@@ -35,16 +38,22 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import json
-import os
+import itertools
 from pathlib import Path
-from typing import Any, Dict, Optional, Protocol, Sequence, TextIO, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Protocol, Sequence, Tuple, Union
 
 from ..errors import ConfigError, SimulationError
-from .atomic import atomic_write_text
+from .fingerprint import code_fingerprint
+from .store import NdjsonStore, read_records
 
 #: Bumped when the journal line layout changes incompatibly.
 JOURNAL_SCHEMA_VERSION = 1
+
+#: Record kind -> fields every journal record of that kind must carry.
+_RECORD_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "sweep": ("id", "fn", "points"),
+    "point": ("sweep", "key", "index", "label", "value_repr", "restorable"),
+}
 
 
 class SweepPointLike(Protocol):
@@ -91,21 +100,40 @@ def point_envelope(fn_name: str, point: SweepPointLike) -> str:
     cache hit re-derives the envelope from the live point and asserts it
     matches the stored one character for character, so a catalog entry
     whose envelope was mutated on disk can never be served silently.
+
+    The second field is :func:`~repro.resilience.fingerprint.code_fingerprint`
+    of the worker: entries written by different code never match.
     """
-    return repr((fn_name, point.index, point.label, point.seed, point.params))
+    return repr(
+        (
+            fn_name,
+            code_fingerprint(fn_name),
+            point.index,
+            point.label,
+            point.seed,
+            point.params,
+        )
+    )
 
 
 def point_key(fn_name: str, point: SweepPointLike) -> str:
     """Content key of one sweep point under one worker function.
 
     A pure function of everything that determines the point's result —
-    the worker's dotted name plus the envelope's index, label, seed, and
-    params (all reprs are deterministic: params are primitives or frozen
-    dataclasses). Two runs of the same sweep derive the same keys in any
-    process, which is the whole resume contract.
+    the worker's dotted name, the fingerprint of the code it runs, and
+    the envelope's index, label, seed, and params (all reprs are
+    deterministic: params are primitives or frozen dataclasses). Two
+    runs of the same sweep on the same code derive the same keys in any
+    process, which is the whole resume contract; after a code edit the
+    keys change, so a resume recomputes the points instead of restoring
+    values the current code might not produce.
     """
-    payload = point_envelope(fn_name, point)
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
+    return envelope_key(point_envelope(fn_name, point))
+
+
+def envelope_key(envelope: str) -> str:
+    """The content key of a :func:`point_envelope` string (blake2b)."""
+    return hashlib.blake2b(envelope.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def sweep_id(fn_name: str, keys: Sequence[str]) -> str:
@@ -140,39 +168,42 @@ class RunJournal:
             first record). With ``resume=True`` the file must exist and
             parse; its points become restorable checkpoints.
 
-    The journal is parent-process-only state: worker processes never see
-    it, and one journal instance must not be shared between concurrently
-    running executors (sweeps within one CLI invocation run sequentially,
-    which is the supported sharing).
+    The file mechanics (header, fsync'd appends, torn-tail salvage,
+    atomic rewrite, compaction) live in the shared
+    :class:`~repro.resilience.store.NdjsonStore`. The journal is
+    parent-process-only state: worker processes never see it, and one
+    journal instance must not be shared between concurrently running
+    executors (sweeps within one CLI invocation run sequentially, which
+    is the supported sharing).
     """
 
     def __init__(self, path: Union[str, Path], resume: bool = False) -> None:
-        self._path = Path(path)
         self.resume = resume
         #: point key -> parsed point record
         self._points: Dict[str, Dict[str, Any]] = {}
         #: sweep id -> sweep record, in first-appearance order
         self._sweeps: Dict[str, Dict[str, Any]] = {}
-        #: lazily opened append handle (records are appended, not rewritten)
-        self._fh: Optional[TextIO] = None
-        #: True when the on-disk file does not match the in-memory state
-        #: and must be atomically rewritten before the first append: a
-        #: fresh (non-resume) journal, or a resumed journal whose final
-        #: line was torn by a crash mid-append.
-        self._stale_on_disk = not resume
+        self._store = NdjsonStore(
+            path,
+            noun="journal",
+            tool="repro-journal",
+            schema_version=JOURNAL_SCHEMA_VERSION,
+            fields=_RECORD_FIELDS,
+            snapshot=self._records,
+        )
         if resume:
-            if not self._path.exists():
+            if not self._store.path.exists():
                 raise ConfigError(
-                    f"cannot resume: journal {self._path} does not exist"
+                    f"cannot resume: journal {self._store.path} does not exist"
                 )
-            self._load()
+            self._sweeps, self._points = _index_records(self._store.load())
 
     # ------------------------------------------------------------------ state
 
     @property
     def path(self) -> str:
         """The journal file path, as given."""
-        return str(self._path)
+        return str(self._store.path)
 
     @property
     def point_count(self) -> int:
@@ -187,7 +218,8 @@ class RunJournal:
         """``(True, value)`` when ``key`` is journaled and restorable.
 
         ``(False, None)`` means the point must be recomputed — either it
-        was never journaled or its payload is not a Python literal (the
+        was never journaled (by this code: keys carry the code
+        fingerprint) or its payload is not a Python literal (the
         re-execution still gets the identity assertion in
         :meth:`record`).
         """
@@ -211,7 +243,7 @@ class RunJournal:
                 "fn": fn_name,
                 "points": len(points),
             }
-            self._append(record)
+            self._store.append(record)
             self._sweeps[identity] = record
         return identity
 
@@ -238,7 +270,7 @@ class RunJournal:
                     f"(key {key}) re-executed to a different value.\n"
                     f"  journaled: {existing['value_repr'][:200]}\n"
                     f"  recomputed: {value_repr[:200]}\n"
-                    f"The journal {self._path} does not describe this sweep; "
+                    f"The journal {self.path} does not describe this sweep; "
                     "delete it or fix the nondeterminism before resuming."
                 )
             return  # identical re-execution; nothing new to record
@@ -251,63 +283,10 @@ class RunJournal:
             "value_repr": value_repr,
             "restorable": restorable,
         }
-        self._append(record)
+        self._store.append(record)
         self._points[key] = record
 
     # -------------------------------------------------------------- file I/O
-    #
-    # Appends, not rewrites: the old `_flush` serialized every journaled
-    # point on every record — O(n^2) bytes over a sweep, painful at the
-    # scales the resumable-sweep CLI targets. The crash contract is kept
-    # by construction instead:
-    #
-    # * The header (plus any state the file does not yet reflect) is
-    #   written through ``atomic_write_text`` exactly once, before the
-    #   first append — a crash there leaves the old file intact.
-    # * Each record is a single ``write`` + ``flush`` + ``fsync`` of one
-    #   newline-terminated JSON line, so the journal is always a complete
-    #   prefix of the run plus at most one torn final line.
-    # * A torn final line (no trailing newline) is salvaged on resume and
-    #   the truncated prefix is atomically rewritten before appending.
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record line (fsync before returning).
-
-        Callers must append *before* inserting ``record`` into the
-        in-memory state: the first append may atomically rewrite that
-        state, and a pre-inserted record would then be written twice.
-        """
-        if self._fh is None:
-            self._open_for_append()
-        assert self._fh is not None
-        self._fh.write(json.dumps(record) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def _open_for_append(self) -> None:
-        if self._stale_on_disk:
-            # Fresh journal (atomically replacing any stale file) or a
-            # salvaged torn tail: rewrite the current in-memory state once.
-            self._rewrite()
-            self._stale_on_disk = False
-        self._fh = self._path.open("a", encoding="utf-8")
-
-    def _rewrite(self) -> None:
-        """Write the full journal atomically (old file stays intact on crash)."""
-        lines = [
-            json.dumps(
-                {
-                    "kind": "header",
-                    "schema_version": JOURNAL_SCHEMA_VERSION,
-                    "tool": "repro-journal",
-                }
-            )
-        ]
-        for sweep_record in self._sweeps.values():
-            lines.append(json.dumps(sweep_record))
-        for point_record in self._points.values():
-            lines.append(json.dumps(point_record))
-        atomic_write_text(self._path, "\n".join(lines) + "\n")
 
     def compact(self) -> int:
         """Fold the on-disk journal to one canonical line per record.
@@ -323,18 +302,11 @@ class RunJournal:
         before and after: both parse to the same sweeps and points, so
         :func:`journal_hashes` is unchanged byte for byte.
         """
-        self.close()
-        before = self._path.stat().st_size if self._path.exists() else 0
-        self._rewrite()
-        self._stale_on_disk = False
-        after = self._path.stat().st_size
-        return max(0, before - after)
+        return self._store.compact()
 
     def close(self) -> None:
         """Close the append handle (safe to call repeatedly)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._store.close()
 
     def __enter__(self) -> "RunJournal":
         return self
@@ -342,93 +314,23 @@ class RunJournal:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # --------------------------------------------------------------- loading
-
-    def _load(self) -> None:
-        sweeps, points, salvaged_tail = _parse_journal(
-            self._path, salvage_tail=True
-        )
-        self._sweeps = sweeps
-        self._points = points
-        if salvaged_tail:
-            self._stale_on_disk = True
+    def _records(self) -> Iterator[Dict[str, Any]]:
+        """Canonical file order: every sweep, then every point."""
+        return itertools.chain(self._sweeps.values(), self._points.values())
 
 
-def _parse_journal(
-    path: Path, salvage_tail: bool = False
-) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, Dict[str, Any]], bool]:
-    """Parse and validate a journal file -> (sweeps, points, salvaged).
-
-    With ``salvage_tail``, a *final* line that both fails to parse and is
-    unterminated (no trailing newline) is recognised as a write torn by a
-    crash mid-append and dropped; ``salvaged`` is True so the caller can
-    rewrite the clean prefix. Corruption anywhere else — including a
-    malformed line that *is* newline-terminated — still fails loudly.
-
-    Raises:
-        ConfigError: on any malformed line — a journal that does not parse
-            must fail loudly, not resume from garbage.
-    """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read journal {path}: {exc}") from exc
+def _index_records(
+    records: Sequence[Dict[str, Any]],
+) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, Dict[str, Any]]]:
+    """Parsed journal records -> (sweeps by id, points by key), last wins."""
     sweeps: Dict[str, Dict[str, Any]] = {}
     points: Dict[str, Dict[str, Any]] = {}
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ConfigError(f"journal {path} is empty")
-    salvaged = False
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if (
-                salvage_tail
-                and lineno == len(lines)
-                and lineno > 1
-                and not text.endswith("\n")
-            ):
-                salvaged = True
-                break
-            raise ConfigError(
-                f"journal {path}:{lineno} is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(record, dict) or "kind" not in record:
-            raise ConfigError(
-                f"journal {path}:{lineno}: expected an object with 'kind'"
-            )
-        kind = record["kind"]
-        if lineno == 1:
-            if kind != "header":
-                raise ConfigError(
-                    f"journal {path}: first line must be the header"
-                )
-            if record.get("schema_version") != JOURNAL_SCHEMA_VERSION:
-                raise ConfigError(
-                    f"journal {path}: schema_version "
-                    f"{record.get('schema_version')} != {JOURNAL_SCHEMA_VERSION}"
-                )
-            continue
-        if kind == "sweep":
-            for field in ("id", "fn", "points"):
-                if field not in record:
-                    raise ConfigError(
-                        f"journal {path}:{lineno}: sweep record missing {field!r}"
-                    )
+    for record in records:
+        if record["kind"] == "sweep":
             sweeps[str(record["id"])] = record
-        elif kind == "point":
-            for field in ("sweep", "key", "index", "label", "value_repr", "restorable"):
-                if field not in record:
-                    raise ConfigError(
-                        f"journal {path}:{lineno}: point record missing {field!r}"
-                    )
-            points[str(record["key"])] = record
         else:
-            raise ConfigError(
-                f"journal {path}:{lineno}: unknown record kind {kind!r}"
-            )
-    return sweeps, points, salvaged
+            points[str(record["key"])] = record
+    return sweeps, points
 
 
 def journal_hashes(path: Union[str, Path]) -> Dict[str, Dict[str, Any]]:
@@ -440,7 +342,10 @@ def journal_hashes(path: Union[str, Path]) -> Dict[str, Dict[str, Any]]:
     a resumed run's journal hash can be diffed directly against an
     uninterrupted run's.
     """
-    sweeps, points, _ = _parse_journal(Path(path))
+    records, _ = read_records(
+        Path(path), "journal", JOURNAL_SCHEMA_VERSION, _RECORD_FIELDS
+    )
+    sweeps, points = _index_records(records)
     out: Dict[str, Dict[str, Any]] = {}
     for identity, sweep_record in sweeps.items():
         members = sorted(

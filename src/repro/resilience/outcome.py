@@ -64,8 +64,8 @@ class SweepOutcome:
             ``failures`` instead).
         failures: points that exhausted their retry budget, in point order.
         resumed: points restored from the journal without re-execution.
-        cache_hits: points served from the run catalog (locally or by the
-            serve daemon) without re-execution.
+        cache_hits: points served from the run catalog without
+            re-execution.
         retried: retry attempts performed (not points — a point retried
             twice counts 2).
         timeouts: attempts killed by the per-point watchdog.
@@ -74,7 +74,7 @@ class SweepOutcome:
         journal_path: where completed points were checkpointed, if
             journaling was on.
         catalog_path: the durable result cache in play, if one was
-            attached (the daemon's own catalog for remote execution).
+            attached.
         notes: human-readable caveats (serial watchdog not enforced, ...).
     """
 

@@ -11,6 +11,9 @@ assert the values, the ``catalog.*`` probe counters, and the
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import List
 
@@ -23,6 +26,8 @@ from repro.parallel import SweepExecutor, SweepPoint
 from repro.resilience import ResilienceOptions, RunJournal, worker_name
 
 from . import resilience_workers as workers
+
+_REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _points(n: int = 6) -> List[SweepPoint]:
@@ -195,3 +200,77 @@ class TestPoisonedCatalog:
                 SimulationError, match="catalog determinism violation"
             ):
                 catalog.record(fn_name, "pre", point, workers.square(point))
+
+
+#: A worker module written into the test's own directory, so editing it
+#: is an edit to code outside ``repro`` that only the worker's module
+#: digest can see.
+_WORKER_SOURCE = "def work(point):\n    return point.seed * {factor}\n"
+
+#: One sweep of one point through a catalog, or a fresh/resumed journal.
+#: Prints the value and how many points were served without running.
+_DRIVER = """\
+import sys
+
+from repro.catalog import RunCatalog
+from repro.parallel import SweepExecutor, SweepPoint
+from repro.resilience import ResilienceOptions, RunJournal
+
+from edited_worker import work
+
+store, path = sys.argv[1], sys.argv[2]
+if store == "catalog":
+    handle = RunCatalog(path)
+    options = ResilienceOptions(catalog=handle)
+else:
+    handle = RunJournal(path, resume=store == "resume")
+    options = ResilienceOptions(journal=handle)
+with handle:
+    (result,) = SweepExecutor(jobs=1, resilience=options).map(
+        work, [SweepPoint.make(0, "pt@0", seed=21)]
+    )
+outcome = options.outcomes[-1]
+print(result.value, outcome.cache_hits + outcome.resumed)
+"""
+
+
+def _drive(directory: Path, store: str, path: Path) -> str:
+    # No bytecode cache: an edit within the same second and of the same
+    # size would otherwise run the stale .pyc.
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join((_REPO_SRC, str(directory))),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(directory / "driver.py"), store, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=str(directory),
+        timeout=120,
+        check=True,
+    )
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestCodeFingerprint:
+    @pytest.mark.parametrize(
+        "first, again", [("catalog", "catalog"), ("journal", "resume")]
+    )
+    def test_worker_edit_turns_stored_points_into_misses(
+        self, tmp_path: Path, first: str, again: str
+    ) -> None:
+        worker = tmp_path / "edited_worker.py"
+        worker.write_text(_WORKER_SOURCE.format(factor=2), encoding="utf-8")
+        (tmp_path / "driver.py").write_text(_DRIVER, encoding="utf-8")
+        store = tmp_path / "store.ndjson"
+
+        assert _drive(tmp_path, first, store) == "42 0"
+        # Unchanged code: the stored value is served.
+        assert _drive(tmp_path, again, store) == "42 1"
+        # Edited worker: the old entry is a miss and the point recomputes.
+        worker.write_text(_WORKER_SOURCE.format(factor=3), encoding="utf-8")
+        assert _drive(tmp_path, again, store) == "63 0"
+        # The recomputed value is stored under the new code's key.
+        assert _drive(tmp_path, again, store) == "63 1"

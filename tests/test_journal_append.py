@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.resilience.journal as journal_mod
+import repro.resilience.store as store_mod
 from repro.errors import ConfigError
 from repro.parallel import SweepPoint, result_hash
 from repro.resilience import RunJournal, journal_hashes, point_key
@@ -43,13 +43,13 @@ def _record_all(path: Path, points: list, resume: bool = False) -> RunJournal:
 class TestAppendNotRewrite:
     def test_appends_use_one_atomic_write_total(self, tmp_path, monkeypatch):
         calls = []
-        real = journal_mod.atomic_write_text
+        real = store_mod.atomic_write_text
 
         def counting(path, text):
             calls.append(str(path))
             return real(path, text)
 
-        monkeypatch.setattr(journal_mod, "atomic_write_text", counting)
+        monkeypatch.setattr(store_mod, "atomic_write_text", counting)
         path = tmp_path / "run.journal"
         _record_all(path, _points(20))
         # One atomic write creates the header; all 21 records (1 sweep +
@@ -64,7 +64,7 @@ class TestAppendNotRewrite:
         _record_all(path, points[:3])
         calls = []
         monkeypatch.setattr(
-            journal_mod,
+            store_mod,
             "atomic_write_text",
             lambda *a, **k: calls.append(a),
         )

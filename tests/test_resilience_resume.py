@@ -4,8 +4,9 @@ Three escalating proofs that a sweep killed mid-run and resumed from its
 journal merges to the *bit-identical* result of an uninterrupted run:
 
 1. a real ``SIGKILL`` of the sweep process while workers are in flight —
-   the journal left on disk parses cleanly (atomic flush), and the
-   resumed merge hash equals an uninterrupted serial run's;
+   the journal (or run catalog) left on disk parses cleanly (atomic
+   flush), the catalog's fsync'd prefix comes back as verified cache
+   hits, and the resumed merge hash equals an uninterrupted serial run's;
 2. the Fig. 4 experiment sweep with an injected point crash (the CI chaos
    hook), salvaged, then resumed — at ``jobs`` 1, 2, and 4;
 3. the faults-resilience sweep likewise, proving keyed-hash fault draws
@@ -21,9 +22,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 
+from repro.catalog import RunCatalog
 from repro.errors import ConfigError
 from repro.experiments.faults_resilience import run_faults_resilience
 from repro.experiments.fig4_bandwidth import run_fig4
@@ -45,6 +48,7 @@ _SWEEP_SCRIPT = """\
 import argparse
 import time
 
+from repro.catalog import RunCatalog
 from repro.parallel import SweepExecutor, SweepPoint, result_hash
 from repro.resilience import ResilienceOptions, RunJournal
 
@@ -56,7 +60,8 @@ def work(point):
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--journal", required=True)
+    parser.add_argument("--journal")
+    parser.add_argument("--catalog")
     parser.add_argument("--resume", action="store_true")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--sleep", type=float, required=True)
@@ -65,10 +70,14 @@ def main():
         SweepPoint.make(i, f"pt@{i}", seed=100 + i, sleep_s=args.sleep)
         for i in range(8)
     ]
-    journal = RunJournal(args.journal, resume=args.resume)
-    options = ResilienceOptions(journal=journal)
+    journal = None
+    if args.journal:
+        journal = RunJournal(args.journal, resume=args.resume)
+    catalog = RunCatalog(args.catalog) if args.catalog else None
+    options = ResilienceOptions(journal=journal, catalog=catalog)
     executor = SweepExecutor(jobs=args.jobs, resilience=options)
     results = executor.map(work, points)
+    print(f"cached={options.outcomes[-1].cache_hits}")
     print(result_hash([r.value for r in results]))
 
 
@@ -77,8 +86,8 @@ if __name__ == "__main__":
 """
 
 
-def _run_sweep_script(script: Path, *args: str) -> str:
-    """Run the driver to completion and return the printed merge hash."""
+def _run_sweep_script(script: Path, *args: str) -> Tuple[str, int]:
+    """Run the driver to completion -> (printed merge hash, cache hits)."""
     env = dict(os.environ, PYTHONPATH=_REPO_SRC)
     proc = subprocess.run(
         [sys.executable, str(script), *args],
@@ -88,7 +97,37 @@ def _run_sweep_script(script: Path, *args: str) -> str:
         timeout=120,
         check=True,
     )
-    return proc.stdout.strip().splitlines()[-1]
+    cached, digest = proc.stdout.strip().splitlines()[-2:]
+    return digest, int(cached.split("=", 1)[1])
+
+
+def _kill_after_two(script: Path, store: Path, record_kind: str, *args: str) -> None:
+    """Run the driver, SIGKILL it once ``store`` holds two ``record_kind``
+    lines (two fsync'd completions), and reap it."""
+    env = dict(os.environ, PYTHONPATH=_REPO_SRC)
+    victim = subprocess.Popen(
+        [sys.executable, str(script), *args],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env=env,
+    )
+    try:
+        # Wait for at least two checkpoints, then kill without warning.
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            if store.exists() and store.read_text(
+                encoding="utf-8"
+            ).count(f'"kind": "{record_kind}"') >= 2:
+                break
+            time.sleep(0.02)
+        else:
+            pytest.fail(f"sweep never stored two {record_kind} records")
+        victim.send_signal(signal.SIGKILL)
+        victim.wait(timeout=30)
+    finally:
+        if victim.poll() is None:
+            victim.kill()
+            victim.wait(timeout=30)
 
 
 class TestSigkillMidSweep:
@@ -100,46 +139,17 @@ class TestSigkillMidSweep:
         journal = tmp_path / "killed.journal"
         sleep = "0.2"
 
-        env = dict(os.environ, PYTHONPATH=_REPO_SRC)
-        victim = subprocess.Popen(
-            [
-                sys.executable,
-                str(script),
-                "--journal",
-                str(journal),
-                "--jobs",
-                "2",
-                "--sleep",
-                sleep,
-            ],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            env=env,
+        _kill_after_two(
+            script, journal, "point",
+            "--journal", str(journal), "--jobs", "2", "--sleep", sleep,
         )
-        try:
-            # Wait for at least two checkpoints, then kill without warning.
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if journal.exists() and journal.read_text(
-                    encoding="utf-8"
-                ).count('"kind": "point"') >= 2:
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("sweep never journaled two points")
-            victim.send_signal(signal.SIGKILL)
-            victim.wait(timeout=30)
-        finally:
-            if victim.poll() is None:
-                victim.kill()
-                victim.wait(timeout=30)
 
         # The half-written journal must parse cleanly (atomic appends) and
         # must actually be partial — the kill landed mid-run.
         partial = RunJournal(journal, resume=True)
         assert 2 <= partial.point_count < 8
 
-        resumed_hash = _run_sweep_script(
+        resumed_hash, _ = _run_sweep_script(
             script,
             "--journal",
             str(journal),
@@ -150,7 +160,7 @@ class TestSigkillMidSweep:
             sleep,
         )
         clean_journal = tmp_path / "clean.journal"
-        clean_hash = _run_sweep_script(
+        clean_hash, _ = _run_sweep_script(
             script,
             "--journal",
             str(clean_journal),
@@ -161,6 +171,44 @@ class TestSigkillMidSweep:
         )
         assert resumed_hash == clean_hash
         assert journal_hashes(journal) == journal_hashes(clean_journal)
+
+    def test_sigkill_then_catalog_rerun_serves_the_prefix(
+        self, tmp_path: Path
+    ) -> None:
+        script = tmp_path / "sweep_driver.py"
+        script.write_text(_SWEEP_SCRIPT, encoding="utf-8")
+        catalog = tmp_path / "killed.catalog"
+        sleep = "0.2"
+
+        _kill_after_two(
+            script, catalog, "entry",
+            "--catalog", str(catalog), "--jobs", "2", "--sleep", sleep,
+        )
+
+        # The fsync'd prefix survives the kill: the catalog opens cleanly
+        # (a torn tail is salvaged) and is genuinely partial.
+        survived = RunCatalog(catalog).entry_count
+        assert 2 <= survived < 8
+
+        # A re-run on the same catalog serves exactly that prefix as
+        # verified hits, computes the rest, and merges to the hash of an
+        # uninterrupted serial run.
+        resumed_hash, cached = _run_sweep_script(
+            script, "--catalog", str(catalog), "--jobs", "4", "--sleep", sleep
+        )
+        assert cached == survived
+        clean_hash, clean_cached = _run_sweep_script(
+            script,
+            "--catalog",
+            str(tmp_path / "clean.catalog"),
+            "--jobs",
+            "1",
+            "--sleep",
+            sleep,
+        )
+        assert clean_cached == 0
+        assert resumed_hash == clean_hash
+        assert RunCatalog(catalog).entry_count == 8
 
     def test_resume_without_a_journal_fails_loudly(self, tmp_path: Path) -> None:
         with pytest.raises(ConfigError, match="cannot resume"):
