@@ -900,31 +900,46 @@ class ProbeFlushRule(ProjectRule):
 
     @staticmethod
     def _batched_counters(fn: FunctionInfo) -> Dict[str, int]:
-        """Local scalar counters incremented inside a loop -> first
-        increment line. A counter is a name assigned a constant int and
+        """Local counters incremented inside a loop -> first increment
+        line. A counter is a name assigned a constant int, or an entry of
+        a tally dict (a name assigned ``dict.fromkeys(...)``),
         ``+=``-incremented within a ``for``/``while`` body."""
         own = _own_statements(fn.fn_node)
         initialized: Set[str] = set()
+        tallies: Set[str] = set()
         for node in own:
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
-                if isinstance(node.value.value, int) and not isinstance(node.value.value, bool):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            initialized.add(target.id)
+            if not isinstance(node, ast.Assign):
+                continue
+            names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            value = node.value
+            if isinstance(value, ast.Constant):
+                if isinstance(value.value, int) and not isinstance(value.value, bool):
+                    initialized |= names
+            elif (
+                isinstance(value, ast.Call)
+                and dotted_name(value.func) == "dict.fromkeys"
+            ):
+                tallies |= names
         counters: Dict[str, int] = {}
         for node in own:
             if not isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
                 continue
             for sub in ast.walk(node):
-                if (
-                    isinstance(sub, ast.AugAssign)
-                    and isinstance(sub.op, ast.Add)
-                    and isinstance(sub.target, ast.Name)
-                    and sub.target.id in initialized
+                if not (isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.Add)):
+                    continue
+                target = sub.target
+                if isinstance(target, ast.Name) and target.id in initialized:
+                    name = target.id
+                elif (
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id in tallies
                 ):
-                    name = sub.target.id
-                    if name not in counters or sub.lineno < counters[name]:
-                        counters[name] = sub.lineno
+                    name = target.value.id
+                else:
+                    continue
+                if name not in counters or sub.lineno < counters[name]:
+                    counters[name] = sub.lineno
         return counters
 
     def _flush_statements(self, fn: FunctionInfo) -> List[ast.stmt]:

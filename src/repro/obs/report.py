@@ -23,13 +23,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..resilience import atomic_write_text
 from ..serialization import JSONDict, config_to_dict, stats_collector_to_dict
 from .probe import CountingProbe
 
-if False:  # TYPE_CHECKING — keep kernel imports out of the runtime graph
+if TYPE_CHECKING:  # keep kernel imports out of the runtime graph
     from ..switch.simulator import SimulationResult
 
 #: Bumped when the report layout changes incompatibly.

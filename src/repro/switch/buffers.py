@@ -21,11 +21,11 @@ Capacities are in flits; a packet is admitted only if it fits entirely.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional, Union
 
 from ..config import SwitchConfig
 from ..errors import BufferError_, SimulationError
-from ..types import TrafficClass
+from ..types import FlowId, TrafficClass
 from .flit import Packet
 
 
@@ -173,8 +173,8 @@ class InputPort:
 
     # ------------------------------------------------------------- admission
 
-    def queue_for(self, packet: Packet) -> FlitBuffer:
-        """The buffer a packet of this class/destination lands in."""
+    def queue_for(self, packet: Union[Packet, FlowId]) -> FlitBuffer:
+        """The buffer a packet (or any packet of a flow) lands in."""
         if packet.traffic_class is TrafficClass.GB:
             try:
                 return self.gb_queues[packet.dst]

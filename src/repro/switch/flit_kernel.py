@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ..switch.events import GrantEvent
 from ..switch.flit import Packet, fresh_packet_ids
 from ..types import TrafficClass
 
-if False:  # TYPE_CHECKING — runtime import would be circular
+if TYPE_CHECKING:  # runtime import would be circular
     from ..faults import FaultPlan
     from ..traffic.flows import Workload
 

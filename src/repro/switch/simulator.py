@@ -6,19 +6,30 @@ input) becoming free, or a retry after a non-work-conserving arbiter
 declined to grant. At each wake time it (1) admits arrivals into the input
 port buffers (overflow waits in unbounded per-flow source queues — the
 source side of the network interface), (2) tops up saturating sources, and
-(3) arbitrates every idle output in a rotating order. This produces exactly
-the schedule a per-cycle loop would, at a fraction of the cost, because
-nothing observable changes between wake times.
+(3) arbitrates every idle output. This produces exactly the schedule a
+per-cycle loop would, at a fraction of the cost, because nothing
+observable changes between wake times.
 
-Arbitration runs in one of two modes. With per-output arbiters (the
-paper's switch) every idle output consults its own
-:class:`~repro.qos.base.OutputArbiter` in a rotating order. With an
-iterative matching scheduler (:class:`~repro.qos.iterative.
-IterativeArbiter` — iSLIP, QPS-r, SW-QPS; requires ``config.voq``) the
-kernel instead builds the VOQ backlog of every free input once per wake
-time and applies the scheduler's switch-wide matching. Both paths share
-one grant-bookkeeping closure so timing, fault accounting, and
-observability cannot drift between them.
+:meth:`Simulation.run` is the one run skeleton: wake heap, arrival
+admission and overflow, saturating top-up, fault dispatch, grant
+bookkeeping (transmission timing, packet chaining, drop/dup accounting,
+statistics, trace and collected events, the freed-buffer refill), the
+probe flush and the result. Only step (3), arbitration, is pluggable: an
+:class:`ArbitrationStage` is a bundle of closures built once per run, and
+the skeleton calls its ``arbitrate`` once per wake. Three stages exist:
+
+* per-output arbiters (the paper's switch, :func:`_per_output_stage`):
+  every idle output consults its own
+  :class:`~repro.qos.base.OutputArbiter` in a rotating order;
+* switch-wide iterative matching (:func:`_voq_stage` — iSLIP, QPS-r,
+  SW-QPS; requires ``config.voq``): one
+  :meth:`~repro.qos.iterative.IterativeArbiter.match` over the VOQ
+  backlog of every free input per wake;
+* the array kernel's batched matrices
+  (:class:`~repro.switch.array_kernel.ArraySimulation`).
+
+Timing, fault accounting and observability therefore cannot drift between
+the stages: they share every line of the code that implements them.
 
 Timing model (see DESIGN.md): a grant at cycle ``t`` for an ``L``-flit
 packet occupies the output channel and the winning input until
@@ -29,10 +40,11 @@ flits/cycle — the 0.89 ceiling of Fig. 4 for 8-flit packets.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,16 +53,17 @@ from ..core.arbitration import Request
 from ..errors import ConfigError, SimulationError
 from ..faults import FaultInjector, FaultKind, FaultPlan, resolve_injector
 from ..metrics.counters import StatsCollector
-from ..obs.probe import Probe, resolve_hooks
+from ..obs.probe import EventHook, Probe, resolve_hooks
 from ..qos.iterative import IterativeArbiter
 from ..types import FlowId, TrafficClass
-
-if False:  # TYPE_CHECKING — imported lazily at runtime to avoid a cycle
-    from ..traffic.flows import Workload
-    from ..traffic.generators import FlowSource
+from .buffers import FlitBuffer
 from .crossbar import ArbiterFactory, SwizzleSwitch
 from .events import GrantEvent, PacketDelivered
 from .flit import Packet, fresh_packet_ids
+
+if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
+    from ..traffic.flows import Workload
+    from ..traffic.generators import FlowSource
 
 
 @dataclass
@@ -74,7 +87,7 @@ class SimulationResult:
             a pending GL head (empty for arbiters without a
             ``gl_policer``). Two distinct GL inputs denied in the same
             cycle count as two events.
-        kernel: which engine produced this result (``event``/``flit``).
+        kernel: which engine produced this result (``event``/``flit``/``array``).
     """
 
     config: SwitchConfig
@@ -191,6 +204,270 @@ def _checked_injector(
     return injector
 
 
+# ------------------------------------------------------ arbitration stages
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """What the run skeleton lends an arbitration stage, once per run.
+
+    Attributes:
+        switch: the switch (ports, channels, arbiters, ``config``).
+        seed: the simulation's master seed.
+        wake: schedule a wake time (ignored at or past the horizon).
+        grant: ``grant(output, input, packet, contenders, now)`` pops the
+            granted head-of-line packet and runs the shared delivery
+            bookkeeping; returns the delivery cycle.
+        injector: the resolved fault injector, if a plan is active.
+        event_hook: the probe's trace hook, if tracing.
+        collect_events: whether grant/delivery events are collected.
+        tally: the run's probe counter totals by name, flushed once after
+            the horizon; a stage adds to its own (``kernel.arbitrations``,
+            ``voq.*``, ...).
+    """
+
+    switch: SwizzleSwitch
+    seed: int
+    wake: Callable[[int], None]
+    grant: Callable[[int, int, Packet, int, int], int]
+    injector: Optional[FaultInjector]
+    event_hook: Optional[EventHook]
+    collect_events: bool
+    tally: Dict[str, int]
+
+
+@dataclass(frozen=True)
+class ArbitrationStage:
+    """One kernel's arbitration decision, as closures built once per run.
+
+    Attributes:
+        arbitrate: ``arbitrate(now)`` grants every idle output it can at
+            ``now`` through :attr:`RunContext.grant`; called once per wake,
+            after arrivals, refills and counter bit-flips.
+        flip_counter: optional ``flip_counter(output, input, bit, now)``
+            applying one scheduled auxVC counter bit-flip; without it the
+            output arbiter's own ``inject_counter_bitflip`` is called.
+        before_arrivals: optional ``before_arrivals(now)`` run at the
+            start of every wake, before any arrival is admitted.
+        on_head: optional ``on_head(packet)``: an injection made
+            ``packet`` the head of a previously empty queue.
+        on_pop: optional ``on_pop(output, input, packet)``: the granted
+            ``packet`` was popped; called before the freed buffer refills.
+    """
+
+    arbitrate: Callable[[int], None]
+    flip_counter: Optional[Callable[[int, int, int, int], None]] = None
+    before_arrivals: Optional[Callable[[int], None]] = None
+    on_head: Optional[Callable[[Packet], None]] = None
+    on_pop: Optional[Callable[[int, int, Packet], None]] = None
+
+
+#: Builds a kernel's arbitration stage for one run.
+StageBuilder = Callable[[RunContext], ArbitrationStage]
+
+#: Probe counters in flush order. A counter that never fired is not
+#: flushed, so ``voq.*`` and ``faults.*`` appear only for runs that use
+#: a matching scheduler or an active fault plan.
+_COUNTERS = (
+    "kernel.wakes",
+    "kernel.heap_pushes",
+    "kernel.arrivals",
+    "kernel.arbitrations",
+    "kernel.declines",
+    "kernel.grants",
+    "kernel.chain_grants",
+    "kernel.gl_throttles",
+    "kernel.overflow_flows_scanned",
+    "voq.matches",
+    "voq.matched_pairs",
+    "voq.iterations",
+    "voq.proposals",
+    "faults.stall_masked",
+    "faults.dead_crosspoint_masked",
+    "faults.counter_bitflips",
+    "faults.packet_drops",
+    "faults.packet_dups",
+)
+
+
+def _per_output_stage(ctx: RunContext) -> ArbitrationStage:
+    """The paper's switch: each idle output runs its own select/commit."""
+    switch = ctx.switch
+    radix = switch.radix
+    inputs = switch.inputs
+    outputs = switch.outputs
+    arbiters = switch.arbiters
+    # Per-output structures that cannot change during a run.
+    policers = [getattr(arbiters[o], "gl_policer", None) for o in range(radix)]
+    grant = ctx.grant
+    wake = ctx.wake
+    event_hook = ctx.event_hook
+    tally = ctx.tally
+    injector = ctx.injector
+    faults_stall = injector is not None and injector.has_stalls
+    faults_dead = injector is not None and injector.has_dead
+
+    def arbitrate(now: int) -> None:
+        # Arbitrate idle outputs, rotating the start to avoid bias.
+        for k in range(radix):
+            o = (now + k) % radix
+            channel = outputs[o]
+            if not channel.is_idle(now):
+                continue
+            arbiter = arbiters[o]
+            policer = policers[o]
+            allow_gl = policer is None or policer.eligible(now)
+            requests = []
+            gl_denied_inputs = []
+            for port in inputs:
+                if port.busy_until > now:
+                    continue
+                queued = port.total_occupancy_flits
+                if queued == 0:
+                    continue  # empty input: no head, no masked GL
+                if faults_stall and injector.stalled(port.port, now):
+                    # A stalled input raises nothing this cycle: no
+                    # request and no policer-throttle decision either.
+                    if port.head_for_output(o, allow_gl=True) is not None:
+                        tally["faults.stall_masked"] += 1
+                    continue
+                if faults_dead and injector.crosspoint_dead(port.port, o):
+                    # A dead crosspoint cannot raise its request line;
+                    # packets to this output block at the head (HOL).
+                    if port.head_for_output(o, allow_gl=True) is not None:
+                        tally["faults.dead_crosspoint_masked"] += 1
+                    continue
+                head = port.head_for_output(o, allow_gl=allow_gl)
+                if not allow_gl:
+                    # A GL head masked by the policer is a throttle
+                    # decision even though it never becomes a request
+                    # (the GB/BE head in front of it requests instead).
+                    if port.gl_head_for(o) is not None:
+                        gl_denied_inputs.append(port.port)
+                if head is None:
+                    continue
+                requests.append(
+                    Request(
+                        input_port=port.port,
+                        traffic_class=head.traffic_class,
+                        packet_flits=head.flits,
+                        queued_flits=queued,
+                        arrival_cycle=(
+                            head.injected_cycle
+                            if head.injected_cycle is not None
+                            else head.created_cycle
+                        ),
+                    )
+                )
+            if gl_denied_inputs and policer is not None:
+                # One throttle event per denied (cycle, input) pair; the
+                # arbiter's own note_throttled for demoted GL requests
+                # folds into these via the policer's per-cycle dedupe.
+                for denied_input in gl_denied_inputs:
+                    policer.note_throttled(now, denied_input)
+                    tally["kernel.gl_throttles"] += 1
+                    if event_hook is not None:
+                        event_hook("gl_throttle", now, output=o, input=denied_input)
+            if not requests:
+                continue
+            tally["kernel.arbitrations"] += 1
+            winner = arbiter.select(requests, now)
+            if winner is None:
+                tally["kernel.declines"] += 1
+                wake(now + 1)  # non-work-conserving decline: retry
+                continue
+            arbiter.commit(winner, now)
+            port = inputs[winner.input_port]
+            packet = port.head_for_output(o, allow_gl=allow_gl)
+            if packet is None or packet.flits != winner.packet_flits:
+                raise SimulationError(
+                    f"arbiter granted a request that is no longer head-of-line "
+                    f"at input {winner.input_port}"
+                )
+            grant(o, winner.input_port, packet, len(requests), now)
+
+    return ArbitrationStage(arbitrate=arbitrate)
+
+
+def _voq_stage(scheduler: IterativeArbiter, ctx: RunContext) -> ArbitrationStage:
+    """Switch-wide iterative matching: one match() covers every idle output."""
+    # Sampling schedulers key every draw on (seed, cycle, round, port);
+    # binding here makes replay independent of sweep fan-out.
+    scheduler.bind_seed(ctx.seed)
+    switch = ctx.switch
+    radix = switch.radix
+    inputs = switch.inputs
+    outputs = switch.outputs
+    grant = ctx.grant
+    wake = ctx.wake
+    event_hook = ctx.event_hook
+    tally = ctx.tally
+    injector = ctx.injector
+    faults_stall = injector is not None and injector.has_stalls
+    faults_dead = injector is not None and injector.has_dead
+
+    def arbitrate(now: int) -> None:
+        free_outputs = [o for o in range(radix) if outputs[o].is_idle(now)]
+        if not free_outputs:
+            return
+        backlog: Dict[int, Dict[int, int]] = {}
+        for port in inputs:
+            if port.busy_until > now or port.total_occupancy_flits == 0:
+                continue
+            if faults_stall and injector.stalled(port.port, now):
+                # A stalled input raises no request lines at all this
+                # cycle; its whole backlog is masked.
+                tally["faults.stall_masked"] += 1
+                continue
+            per_port = port.voq_backlog(free_outputs)
+            if faults_dead:
+                for dead_o in list(per_port):
+                    if injector.crosspoint_dead(port.port, dead_o):
+                        # A dead crosspoint cannot raise its request line;
+                        # that VOQ sits blocked in place.
+                        del per_port[dead_o]
+                        tally["faults.dead_crosspoint_masked"] += 1
+            if per_port:
+                backlog[port.port] = per_port
+        if not backlog:
+            return
+        tally["kernel.arbitrations"] += 1
+        matching = scheduler.match(backlog, free_outputs, now)
+        tally["voq.matches"] += 1
+        tally["voq.matched_pairs"] += len(matching.pairs)
+        tally["voq.iterations"] += matching.iterations
+        tally["voq.proposals"] += matching.proposals
+        if event_hook is not None:
+            event_hook(
+                "match",
+                now,
+                scheduler=scheduler.name,
+                requests=len(backlog),
+                free_outputs=len(free_outputs),
+                pairs=len(matching.pairs),
+                iterations=matching.iterations,
+                proposals=matching.proposals,
+            )
+        if not matching.pairs:
+            tally["kernel.declines"] += 1
+        for in_port, o in sorted(matching.pairs, key=lambda pair: pair[1]):
+            packet = inputs[in_port].head_for_output(o, allow_gl=True)
+            if packet is None:
+                raise SimulationError(
+                    f"{scheduler.name} matched input {in_port} to "
+                    f"output {o} but that VOQ is empty"
+                )
+            contenders = sum(1 for b in backlog.values() if o in b)
+            grant(o, in_port, packet, contenders, now)
+        if len({pair[0] for pair in matching.pairs}) < len(backlog):
+            # Some requesting input went unmatched (bounded iterations, a
+            # sampling collision, or a stale window slot): retry next
+            # cycle like a declining arbiter.
+            wake(now + 1)
+
+    return ArbitrationStage(arbitrate=arbitrate)
+
+
 class Simulation:
     """Couples a switch, a workload, and a statistics collector.
 
@@ -222,6 +499,9 @@ class Simulation:
             :func:`_checked_injector`).
     """
 
+    #: Name reported as :attr:`SimulationResult.kernel`.
+    _kernel_name = "event"
+
     def __init__(
         self,
         config: SwitchConfig,
@@ -239,7 +519,7 @@ class Simulation:
         self.config = config
         self.workload = workload
         self.switch = SwizzleSwitch(config, arbiter_factory)
-        self._scheduler = self._resolve_scheduler(config, self.switch)
+        self._build_stage = self._select_stage()
         self.seed = seed
         self._warmup_override = warmup_cycles
         self.collect_events = collect_events
@@ -250,26 +530,24 @@ class Simulation:
 
     # ----------------------------------------------------------------- setup
 
-    @staticmethod
-    def _resolve_scheduler(
-        config: SwitchConfig, switch: SwizzleSwitch
-    ) -> Optional[IterativeArbiter]:
-        """Detect and validate an iterative matching scheduler, if any.
+    def _select_stage(self) -> StageBuilder:
+        """Validate the switch's arbiters and pick the arbitration stage.
 
         Iterative schedulers compute one matching for the whole switch, so
         every output must share a single instance (built through
         :func:`repro.qos.shared_iterative_factory`), the input ports must
         be fully virtual-output-queued, and packet chaining — a per-output
         repeat-winner shortcut that would bypass the matching — is not
-        modeled.
+        modeled. Any other arbiter runs the per-output stage.
 
         Raises:
             ConfigError: on any violation; misconfigured matching would
                 otherwise silently double-book inputs.
         """
-        arbiters = switch.arbiters
+        config = self.config
+        arbiters = self.switch.arbiters
         if not any(isinstance(a, IterativeArbiter) for a in arbiters):
-            return None
+            return _per_output_stage
         first = arbiters[0]
         if not isinstance(first, IterativeArbiter) or any(
             a is not first for a in arbiters
@@ -294,7 +572,7 @@ class Simulation:
                 f"{first.name} was built for {first.num_inputs} ports but "
                 f"the switch radix is {config.radix}"
             )
-        return first
+        return functools.partial(_voq_stage, first)
 
     def _program_switch(self) -> None:
         """Install reservations and priority levels from the workload."""
@@ -353,42 +631,24 @@ class Simulation:
         if warmup >= horizon:
             raise SimulationError(f"warmup {warmup} must be below horizon {horizon}")
         self._program_switch()
-        scheduler = self._scheduler
-        if scheduler is not None:
-            # Sampling schedulers key every draw on (seed, cycle, round,
-            # port); binding here makes replay independent of sweep fan-out.
-            scheduler.bind_seed(self.seed)
         stats = StatsCollector(warmup_cycles=warmup, window_cycles=self.window_cycles)
         sources = self._build_sources(horizon)
         events: List[object] = []
-        grants = 0
-        probe = self.probe
-        # Hooks are resolved once per run; the loop below keeps plain local
-        # counters and flushes aggregates to the probe after the horizon.
+        # Hooks are resolved once per run; the loop below counts into a
+        # plain local tally and flushes it to the probe after the horizon.
         # Only trace events (ordered, payload-bearing) are emitted inline.
-        hooks = resolve_hooks(probe)
+        hooks = resolve_hooks(self.probe)
         gauge_hook = hooks.gauge
         event_hook = hooks.event
-        wakes = 0
-        heap_pushes = 0
-        arrivals = 0
-        arbitrations = 0
-        declines = 0
-        gl_throttles = 0
-        overflow_scans = 0
+        tally = dict.fromkeys(_COUNTERS, 0)
         max_overflow_flows = 0
         max_overflow_depth = 0
-        voq_matches = 0
-        voq_pairs = 0
-        voq_iterations = 0
-        voq_proposals = 0
 
         switch = self.switch
         radix = switch.radix
         inputs = switch.inputs
         outputs = switch.outputs
         arbiters = switch.arbiters
-        # Per-output structures that cannot change during a run.
         policers = [getattr(arbiters[o], "gl_policer", None) for o in range(radix)]
         arb_cycles_for = [switch.arbitration_cycles_for(o) for o in range(radix)]
         packet_chaining = self.config.packet_chaining
@@ -398,24 +658,28 @@ class Simulation:
         # Fault injection: resolved once; per-kind flags keep the unfaulted
         # hot path to a handful of false boolean checks.
         injector = _checked_injector(self.fault_plan, radix, arbiters)
-        faults_stall = injector is not None and injector.has_stalls
-        faults_dead = injector is not None and injector.has_dead
         faults_flips = injector is not None and injector.has_flips
         faults_drop = injector is not None and injector.has_drops
         faults_dup = injector is not None and injector.has_dups
-        fault_stall_masks = 0
-        fault_dead_masks = 0
-        fault_flips_applied = 0
-        fault_drops = 0
-        fault_dups = 0
 
-        # Saturating sources grouped by input so top-up is O(active inputs).
-        saturating: Dict[int, List[FlowSource]] = {}
+        # Saturating sources grouped by input so top-up is O(active inputs),
+        # each with its fixed packet length (0 when lengths are drawn from
+        # the source's RNG), target queue, that queue's capacity, and its
+        # id-burning skip_packet.
+        saturating: Dict[
+            int, List[Tuple["FlowSource", int, FlitBuffer, int, Callable[[], None]]]
+        ] = {}
         # Scheduled arrivals as a heap of (next_time, tiebreak, source).
         arrival_heap: List = []
         for idx, source in enumerate(sources):
             if source.saturating:
-                saturating.setdefault(source.flow.src, []).append(source)
+                queue = inputs[source.flow.src].queue_for(source.flow)
+                cap = queue.capacity_flits
+                assert cap is not None  # input-port buffers are always bounded
+                length = source.packet_length
+                length = length if isinstance(length, int) else 0
+                entry = (source, length, queue, cap, source.skip_packet)
+                saturating.setdefault(source.flow.src, []).append(entry)
             else:
                 t0 = source.peek_time()
                 if t0 is not None:
@@ -428,17 +692,15 @@ class Simulation:
         chain_last_input = [-1] * radix
         chain_last_delivered = [-1] * radix
         chain_length = [0] * radix
-        chained_grants = 0
 
         wake_heap: List[int] = [0]
         pending_wakes = {0}
 
         def wake(t: int) -> None:
-            nonlocal heap_pushes
             if t < horizon and t not in pending_wakes:
                 heapq.heappush(wake_heap, t)
                 pending_wakes.add(t)
-                heap_pushes += 1
+                tally["kernel.heap_pushes"] += 1
 
         # Every scheduled source's first arrival must be a wake time.
         for t0, _, _ in arrival_heap:
@@ -452,30 +714,49 @@ class Simulation:
                 wake(t)
 
         def top_up_input(port_index: int, now: int) -> None:
-            for source in saturating.get(port_index, ()):  # keep buffers full
-                port = inputs[port_index]
-                queue = None
+            # Keep saturating buffers full. A fixed-length source prechecks
+            # capacity arithmetically and burns the id of the one packet
+            # that no longer fits (skip_packet), so a still-full buffer
+            # costs one compare; a range-length source must draw the next
+            # length to know, so it builds that packet and rolls it back.
+            entries = saturating.get(port_index)
+            if entries is None:
+                return
+            port = inputs[port_index]
+            for source, length, queue, cap, skip_packet in entries:
+                if length and queue.occupancy_flits + length > cap:
+                    skip_packet()
+                    continue
+                new_head = on_head is not None and not queue
                 while True:
                     packet = source.make_packet(now)
-                    if queue is None:
-                        queue = port.queue_for(packet)
-                    if not queue.fits(packet):
+                    if not length and not queue.fits(packet):
                         source.created_count -= 1  # not offered after all
                         break
                     stats.on_created(packet)
                     if not port.try_inject(packet, now):
                         raise SimulationError("fits() and try_inject() disagree")
+                    if length and queue.occupancy_flits + length > cap:
+                        skip_packet()
+                        break
+                if new_head and queue:
+                    on_head(queue.head())
 
         def drain_overflow(now: int) -> None:
             # Scans are O(flows with backlog): flows whose queue empties are
             # pruned from the dict, so long-drained flows cost nothing here.
-            nonlocal overflow_scans
             if not overflow:
                 return
-            overflow_scans += len(overflow)
+            tally["kernel.overflow_flows_scanned"] += len(overflow)
             drained = []
             for flow, queue in overflow.items():
                 port = inputs[flow.src]
+                packet = queue[0]
+                if not port.try_inject(packet, now):
+                    continue  # buffer still full — the common case
+                queue.popleft()
+                if on_head is not None and len(port.queue_for(packet)) == 1:
+                    on_head(packet)
                 while queue and port.try_inject(queue[0], now):
                     queue.popleft()
                 if not queue:
@@ -488,13 +769,12 @@ class Simulation:
         ) -> int:
             """Pop the granted packet and run the shared delivery bookkeeping.
 
-            Both arbitration paths — per-output arbiters and switch-wide
-            iterative matching — funnel through here, so transmission
-            timing, packet chaining, drop/dup fault accounting, statistics,
-            trace/collected events, and the freed-buffer refill can never
-            drift between them. Returns the delivery cycle.
+            Every arbitration stage funnels its grants through here, so
+            transmission timing, packet chaining, drop/dup fault
+            accounting, statistics, trace/collected events, and the
+            freed-buffer refill can never drift between them. Returns the
+            delivery cycle.
             """
-            nonlocal grants, chained_grants, fault_drops, fault_dups
             port = inputs[in_port]
             port.pop_packet(packet)
             arb_cycles = arb_cycles_for[o]
@@ -509,46 +789,40 @@ class Simulation:
                     # arbitration bubble is paid.
                     arb_cycles = 0
                     chain_length[o] += 1
-                    chained_grants += 1
+                    tally["kernel.chain_grants"] += 1
                 else:
                     chain_length[o] = 0
             delivered = outputs[o].start_transmission(packet, now, arb_cycles)
             chain_last_input[o] = in_port
             chain_last_delivered[o] = delivered
             port.busy_until = delivered
+            if on_pop is not None:
+                on_pop(o, in_port, packet)
+            # A dropped packet still used the channel; only the delivery
+            # accounting is lost. A duplicated one is accounted twice.
             dropped = faults_drop and injector.drop_delivery(
                 o, packet.packet_id, now
             )
-            if dropped:
-                # The channel still carried the flits; only the
-                # delivery accounting is lost.
-                fault_drops += 1
+            duplicated = False
+            if not dropped:
+                stats.on_delivered(packet)
+                duplicated = faults_dup and injector.duplicate_delivery(
+                    o, packet.packet_id, now
+                )
+                if duplicated:
+                    stats.on_delivered(packet)
+            if dropped or duplicated:
+                tally["faults.packet_drops" if dropped else "faults.packet_dups"] += 1
                 if event_hook is not None:
                     event_hook(
                         "fault",
                         now,
-                        kind="packet-drop",
+                        kind="packet-drop" if dropped else "packet-dup",
                         output=o,
                         input=in_port,
                         packet_id=packet.packet_id,
                     )
-            else:
-                stats.on_delivered(packet)
-                if faults_dup and injector.duplicate_delivery(
-                    o, packet.packet_id, now
-                ):
-                    stats.on_delivered(packet)
-                    fault_dups += 1
-                    if event_hook is not None:
-                        event_hook(
-                            "fault",
-                            now,
-                            kind="packet-dup",
-                            output=o,
-                            input=in_port,
-                            packet_id=packet.packet_id,
-                        )
-            grants += 1
+            tally["kernel.grants"] += 1
             if event_hook is not None:
                 event_hook(
                     "grant",
@@ -592,12 +866,30 @@ class Simulation:
             top_up_input(in_port, now)
             return delivered
 
+        stage = self._build_stage(
+            RunContext(
+                switch=switch,
+                seed=self.seed,
+                wake=wake,
+                grant=book_grant,
+                injector=injector,
+                event_hook=event_hook,
+                collect_events=collect,
+                tally=tally,
+            )
+        )
+        arbitrate = stage.arbitrate
+        flip_counter = stage.flip_counter
+        before_arrivals = stage.before_arrivals
+        on_head = stage.on_head
+        on_pop = stage.on_pop
+
         while wake_heap:
             now = heapq.heappop(wake_heap)
             pending_wakes.discard(now)
-            if now >= horizon:
-                continue
-            wakes += 1
+            tally["kernel.wakes"] += 1
+            if before_arrivals is not None:
+                before_arrivals(now)
 
             # 1. Scheduled arrivals up to and including `now`.
             while arrival_heap and arrival_heap[0][0] <= now:
@@ -608,9 +900,12 @@ class Simulation:
                 port = inputs[packet.src]
                 if flow_overflow:
                     flow_overflow.append(packet)  # FIFO behind older packets
-                elif not port.try_inject(packet, now):
+                elif port.try_inject(packet, now):
+                    if on_head is not None and len(port.queue_for(packet)) == 1:
+                        on_head(packet)
+                else:
                     overflow.setdefault(packet.flow, deque()).append(packet)
-                arrivals += 1
+                tally["kernel.arrivals"] += 1
                 if gauge_hook is not None:
                     queued = overflow.get(packet.flow)
                     if queued is not None:
@@ -621,7 +916,7 @@ class Simulation:
                 next_time = source.peek_time()
                 if next_time is not None:
                     heapq.heappush(arrival_heap, (next_time, idx, source))
-                    heap_pushes += 1
+                    tally["kernel.heap_pushes"] += 1
                     wake(int(next_time))
 
             # 2. Refill buffers: overflow first (older packets), then
@@ -634,10 +929,13 @@ class Simulation:
             #     mirroring the flit kernel's per-cycle ordering.
             if faults_flips:
                 for spec in injector.counter_flips_at(now):
-                    arbiters[spec.output].inject_counter_bitflip(
-                        spec.input_port, spec.bit, now
-                    )
-                    fault_flips_applied += 1
+                    if flip_counter is None:
+                        arbiters[spec.output].inject_counter_bitflip(
+                            spec.input_port, spec.bit, now
+                        )
+                    else:
+                        flip_counter(spec.output, spec.input_port, spec.bit, now)
+                    tally["faults.counter_bitflips"] += 1
                     if event_hook is not None:
                         event_hook(
                             "fault",
@@ -648,187 +946,16 @@ class Simulation:
                             bit=spec.bit,
                         )
 
-            # 3a. Switch-wide iterative matching: one match() call covers
-            #     every idle output this cycle.
-            if scheduler is not None:
-                free_outputs = [o for o in range(radix) if outputs[o].is_idle(now)]
-                if not free_outputs:
-                    continue
-                backlog: Dict[int, Dict[int, int]] = {}
-                for port in inputs:
-                    if port.busy_until > now or port.total_occupancy_flits == 0:
-                        continue
-                    if faults_stall and injector.stalled(port.port, now):
-                        # A stalled input raises no request lines at all
-                        # this cycle; its whole backlog is masked.
-                        fault_stall_masks += 1
-                        continue
-                    per_port = port.voq_backlog(free_outputs)
-                    if faults_dead:
-                        for dead_o in list(per_port):
-                            if injector.crosspoint_dead(port.port, dead_o):
-                                # A dead crosspoint cannot raise its request
-                                # line; that VOQ sits blocked in place.
-                                del per_port[dead_o]
-                                fault_dead_masks += 1
-                    if per_port:
-                        backlog[port.port] = per_port
-                if not backlog:
-                    continue
-                arbitrations += 1
-                matching = scheduler.match(backlog, free_outputs, now)
-                voq_matches += 1
-                voq_pairs += len(matching.pairs)
-                voq_iterations += matching.iterations
-                voq_proposals += matching.proposals
-                if event_hook is not None:
-                    event_hook(
-                        "match",
-                        now,
-                        scheduler=scheduler.name,
-                        requests=len(backlog),
-                        free_outputs=len(free_outputs),
-                        pairs=len(matching.pairs),
-                        iterations=matching.iterations,
-                        proposals=matching.proposals,
-                    )
-                if not matching.pairs:
-                    declines += 1
-                for in_port, o in sorted(matching.pairs, key=lambda pair: pair[1]):
-                    packet = inputs[in_port].head_for_output(o, allow_gl=True)
-                    if packet is None:
-                        raise SimulationError(
-                            f"{scheduler.name} matched input {in_port} to "
-                            f"output {o} but that VOQ is empty"
-                        )
-                    contenders = sum(1 for b in backlog.values() if o in b)
-                    book_grant(o, in_port, packet, contenders, now)
-                if len({pair[0] for pair in matching.pairs}) < len(backlog):
-                    # Some requesting input went unmatched (bounded
-                    # iterations, a sampling collision, or a stale window
-                    # slot): retry next cycle like a declining arbiter.
-                    wake(now + 1)
-                continue
-
-            # 3b. Per-output arbiters: arbitrate idle outputs, rotating the
-            #     start to avoid bias.
-            for k in range(radix):
-                o = (now + k) % radix
-                channel = outputs[o]
-                if not channel.is_idle(now):
-                    continue
-                arbiter = arbiters[o]
-                policer = policers[o]
-                allow_gl = policer is None or policer.eligible(now)
-                requests = []
-                gl_denied_inputs = []
-                for port in inputs:
-                    if port.busy_until > now:
-                        continue
-                    queued = port.total_occupancy_flits
-                    if queued == 0:
-                        continue  # empty input: no head, no masked GL
-                    if faults_stall and injector.stalled(port.port, now):
-                        # A stalled input raises nothing this cycle: no
-                        # request and no policer-throttle decision either.
-                        if port.head_for_output(o, allow_gl=True) is not None:
-                            fault_stall_masks += 1
-                        continue
-                    if faults_dead and injector.crosspoint_dead(port.port, o):
-                        # A dead crosspoint cannot raise its request line;
-                        # packets to this output block at the head (HOL).
-                        if port.head_for_output(o, allow_gl=True) is not None:
-                            fault_dead_masks += 1
-                        continue
-                    head = port.head_for_output(o, allow_gl=allow_gl)
-                    if not allow_gl:
-                        # A GL head masked by the policer is a throttle
-                        # decision even though it never becomes a request
-                        # (the GB/BE head in front of it requests instead).
-                        if port.gl_head_for(o) is not None:
-                            gl_denied_inputs.append(port.port)
-                    if head is None:
-                        continue
-                    requests.append(
-                        Request(
-                            input_port=port.port,
-                            traffic_class=head.traffic_class,
-                            packet_flits=head.flits,
-                            queued_flits=queued,
-                            arrival_cycle=(
-                                head.injected_cycle
-                                if head.injected_cycle is not None
-                                else head.created_cycle
-                            ),
-                        )
-                    )
-                if gl_denied_inputs and policer is not None:
-                    # One throttle event per denied (cycle, input) pair; the
-                    # arbiter's own note_throttled for demoted GL requests
-                    # folds into these via the policer's per-cycle dedupe.
-                    for denied_input in gl_denied_inputs:
-                        policer.note_throttled(now, denied_input)
-                        gl_throttles += 1
-                        if event_hook is not None:
-                            event_hook("gl_throttle", now, output=o, input=denied_input)
-                if not requests:
-                    continue
-                arbitrations += 1
-                winner = arbiter.select(requests, now)
-                if winner is None:
-                    declines += 1
-                    wake(now + 1)  # non-work-conserving decline: retry
-                    continue
-                arbiter.commit(winner, now)
-                port = inputs[winner.input_port]
-                packet = port.head_for_output(o, allow_gl=allow_gl)
-                if packet is None or packet.flits != winner.packet_flits:
-                    raise SimulationError(
-                        f"arbiter granted a request that is no longer head-of-line "
-                        f"at input {winner.input_port}"
-                    )
-                book_grant(o, winner.input_port, packet, len(requests), now)
+            # 3. Arbitrate every idle output.
+            arbitrate(now)
 
         # Flush locally-accumulated aggregates to the probe once. Counters
         # that never fired stay absent, matching the old inline behaviour.
         count_hook = hooks.count
         if count_hook is not None:
-            for name, total in (
-                ("kernel.wakes", wakes),
-                ("kernel.heap_pushes", heap_pushes),
-                ("kernel.arrivals", arrivals),
-                ("kernel.arbitrations", arbitrations),
-                ("kernel.declines", declines),
-                ("kernel.grants", grants),
-                ("kernel.chain_grants", chained_grants),
-                ("kernel.gl_throttles", gl_throttles),
-                ("kernel.overflow_flows_scanned", overflow_scans),
-            ):
+            for name, total in tally.items():
                 if total:
                     count_hook(name, total)
-            if scheduler is not None:
-                # voq.* counters exist only under a matching scheduler, so
-                # per-output-arbiter runs flush exactly what they used to.
-                for name, total in (
-                    ("voq.matches", voq_matches),
-                    ("voq.matched_pairs", voq_pairs),
-                    ("voq.iterations", voq_iterations),
-                    ("voq.proposals", voq_proposals),
-                ):
-                    if total:
-                        count_hook(name, total)
-            if injector is not None:
-                # faults.* counters exist only under an active plan, so
-                # empty-plan runs flush exactly what unfaulted runs do.
-                for name, total in (
-                    ("faults.stall_masked", fault_stall_masks),
-                    ("faults.dead_crosspoint_masked", fault_dead_masks),
-                    ("faults.counter_bitflips", fault_flips_applied),
-                    ("faults.packet_drops", fault_drops),
-                    ("faults.packet_dups", fault_dups),
-                ):
-                    if total:
-                        count_hook(name, total)
         if gauge_hook is not None:
             if max_overflow_flows:
                 gauge_hook("kernel.overflow_flows", max_overflow_flows)
@@ -836,12 +963,11 @@ class Simulation:
                 gauge_hook("kernel.overflow_queue_depth", max_overflow_depth)
 
         stats.finish(horizon)
-        gl_throttle_events: Dict[int, int] = {}
-        for o in range(radix):
-            if policers[o] is not None:
-                gl_throttle_events[o] = policers[o].throttle_events
+        gl_throttle_events = {
+            o: p.throttle_events for o, p in enumerate(policers) if p is not None
+        }
         return SimulationResult(
-            chained_grants=chained_grants,
+            chained_grants=tally["kernel.chain_grants"],
             config=self.config,
             workload_name=self.workload.name,
             horizon=horizon,
@@ -850,7 +976,8 @@ class Simulation:
             output_utilization={
                 o: outputs[o].utilization(horizon) for o in range(radix)
             },
-            grants=grants,
+            grants=tally["kernel.grants"],
             events=events,
             gl_throttle_events=gl_throttle_events,
+            kernel=self._kernel_name,
         )

@@ -29,3 +29,18 @@ def run_early_exit(probe, horizon):
     if count_hook is not None:
         count_hook("kernel.grants", grants)
     return grants
+
+
+def run_tally_early_exit(probe, horizon):
+    # RP204: counters batched in a tally dict are lost the same way.
+    hooks = resolve_hooks(probe)
+    count_hook = hooks.count
+    tally = dict.fromkeys(("kernel.wakes",), 0)
+    for now in range(horizon):
+        tally["kernel.wakes"] += 1
+        if now > 1000:
+            return now
+    if count_hook is not None:
+        for name, total in tally.items():
+            count_hook(name, total)
+    return horizon

@@ -99,6 +99,7 @@ def test_rp204_missing_flush_and_early_exit(bad_report):
     messages = "\n".join(f.message for f in _rule_findings(bad_report, "RP204"))
     assert "never flushes" in messages
     assert "exits before the probe flush" in messages
+    assert "run_tally_early_exit() exits before the probe flush" in messages
 
 
 # ---------------------------------------------------------- real-tree state
